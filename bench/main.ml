@@ -1908,12 +1908,108 @@ let e24 () =
      (%d in run phase), %d gc pauses observed\n"
     clients rounds total_samples run_samples gc_pauses
 
+(* ------------------------------------------------------------------ *)
+(* E25 — ∆-apply scaling: one ordered snap detaching n siblings, with  *)
+(* the mutation journal off and on, and the journal's replay.          *)
+(* ------------------------------------------------------------------ *)
+
+let e25 () =
+  print_header "E25: ∆-apply scaling — one ordered snap deleting n siblings";
+  let module S = Xqb_store.Store in
+  let module J = Xqb_store.Journal in
+  let sizes = [ 800; 3200; 12800 ] and reps = if !smoke then 5 else 11 in
+  let median l = List.nth (List.sort compare l) (List.length l / 2) in
+  let failed = ref false in
+  (* The set-up's garbage is collected before the clock starts, and
+     the clock stops after a minor collection: every size pays for
+     promoting what the purge leaves live (journal entries, undo log),
+     where otherwise a small purge would finish inside one minor heap
+     and never pay it. *)
+  let timed f =
+    Gc.full_major ();
+    let t0 = Xqb_obs.Clock.now_ns () in
+    f ();
+    Gc.minor ();
+    Xqb_obs.Clock.now_ns () - t0
+  in
+  (* One purge: a fresh store whose root has [n] children, built (and
+     journaled, when [journal]) before the clock starts. Returns the
+     apply time, plus, with the journal on, the time to replay the
+     purge's journal tail onto a replay of everything before it —
+     which must give the live store's digest. *)
+  let once ~journal n =
+    let store = S.create () in
+    if journal then S.journal_start store;
+    let doc = S.load_string store ("<r>" ^ String.concat "" (List.init n (fun _ -> "<c/>")) ^ "</r>") in
+    let r = List.hd (S.children store doc) in
+    let delta = List.map (fun c -> Core.Update.make (Core.Update.Delete c)) (S.children store r) in
+    let mark = S.journal_length store in
+    let apply_ns = timed (fun () -> Core.Apply.apply store Core.Apply.Ordered delta) in
+    if S.child_count store r <> 0 then begin
+      print_endline "E25 FAIL: the purge left children behind";
+      failed := true
+    end;
+    let replay_ns =
+      if not journal then 0
+      else begin
+        let entries = S.journal_entries store in
+        let base = J.replay (List.filteri (fun i _ -> i < mark) entries) in
+        let tail = List.filteri (fun i _ -> i >= mark) entries in
+        let t = timed (fun () -> J.apply base tail) in
+        if J.digest base <> J.digest store then begin
+          print_endline "E25 FAIL: replaying the purge diverged from the live store";
+          failed := true
+        end;
+        t
+      end
+    in
+    (apply_ns, replay_ns)
+  in
+  let per_detach n ns = float_of_int ns /. float_of_int n in
+  let series =
+    List.map
+      (fun n ->
+        let off = List.init reps (fun _ -> per_detach n (fst (once ~journal:false n))) in
+        let on = List.init reps (fun _ -> once ~journal:true n) in
+        let on_apply = List.map (fun (a, _) -> per_detach n a) on
+        and on_replay = List.map (fun (_, r) -> per_detach n r) on in
+        (n, median off, median on_apply, median on_replay))
+      sizes
+  in
+  List.iter
+    (fun (n, off, on, replay) ->
+      record ~name:"e25-detach-ns-journal-off" ~n off;
+      record ~name:"e25-detach-ns-journal-on" ~n on;
+      record ~name:"e25-replay-detach-ns" ~n replay)
+    series;
+  print_table
+    [ "n siblings"; "ns/detach (journal off)"; "ns/detach (journal on)"; "ns/detach (replay)" ]
+    (List.map
+       (fun (n, off, on, replay) -> [ string_of_int n; f1 off; f1 on; f1 replay ])
+       series);
+  (* linear application keeps the per-detach cost flat; the gate
+     allows 2x between the smallest and the largest n (quadratic
+     application would be 16x) *)
+  let first = List.hd series and last = List.nth series (List.length series - 1) in
+  let n0, off0, on0, rep0 = first and n1, off1, on1, rep1 = last in
+  List.iter
+    (fun (what, a, b) ->
+      if b > 2. *. a then begin
+        Printf.printf "E25 FAIL: %s costs %.0f ns/detach at n=%d vs %.0f at n=%d (>2x)\n"
+          what b n1 a n0;
+        failed := true
+      end)
+    [ ("journal off", off0, off1); ("journal on", on0, on1); ("replay", rep0, rep1) ];
+  Printf.printf "median of %d purges per cell; ratio largest/smallest n: %.2f (off) %.2f (on) %.2f (replay)\n"
+    reps (off1 /. off0) (on1 /. on0) (rep1 /. rep0);
+  if !failed then exit_code := 1
+
 let experiments =
   [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12);
     ("e13", e13); ("e15", e15); ("e16", e16); ("e17", e17); ("e18", e18);
     ("e19", e19); ("e20", e20); ("e21", e21); ("e22", e22); ("e23", e23);
-    ("e24", e24) ]
+    ("e24", e24); ("e25", e25) ]
 
 let () =
   (* args: experiment names, plus `--json PATH` to dump every

@@ -39,13 +39,29 @@ let permute rand_state arr =
     arr.(j) <- t
   done
 
-let apply_ordered store (delta : Update.delta) =
-  List.iter (Update.apply_request store) delta
+(* Apply requests in the given order, each maximal run of consecutive
+   deletes as one batched detach: deletes never conflict with each
+   other under detach semantics (§3.1), and [Update.apply_deletes]
+   gives exactly their one-at-a-time result in linear time. *)
+let rec apply_in_order store (requests : Update.request list) =
+  match requests with
+  | [] -> ()
+  | { Update.op = Update.Delete _; _ } :: _ ->
+    let rec split run = function
+      | ({ Update.op = Update.Delete _; _ } as r) :: rest -> split (r :: run) rest
+      | rest -> (List.rev run, rest)
+    in
+    let run, rest = split [] requests in
+    Update.apply_deletes store run;
+    apply_in_order store rest
+  | r :: rest ->
+    Update.apply_request store r;
+    apply_in_order store rest
 
 let apply_permuted store rand_state (delta : Update.delta) =
   let arr = Array.of_list delta in
   permute rand_state arr;
-  Array.iter (Update.apply_request store) arr
+  apply_in_order store (Array.to_list arr)
 
 (* Apply [delta] to [store] under [mode]. Raises [Conflict.Conflict]
    or [Store.Update_error]; in both cases the store is rolled back.
@@ -58,7 +74,7 @@ let apply ?rand_state ?tracer store mode (delta : Update.delta) =
   in
   Xqb_store.Store.transactionally store (fun () ->
       match mode with
-      | Ordered -> apply_ordered store delta
+      | Ordered -> apply_in_order store delta
       | Nondeterministic -> apply_permuted store rand_state delta
       | Conflict_detection ->
         (match tracer with

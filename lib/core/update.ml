@@ -192,6 +192,12 @@ let stats_to_string s =
     s.snaps (stats_requests s) s.inserts s.deletes s.renames s.set_values
     s.conflicts_checked s.max_snap_depth
 
+(* The mutation-journal provenance note preceding a request's ops. *)
+let provenance_note r =
+  Xqb_store.Store.M_request
+    { line = r.prov.src_line; col = r.prov.src_col; snap_depth = r.prov.snap_depth;
+      trace_id = r.prov.trace_id; desc = op_kind_name r.op }
+
 (* Apply one request to the store. Partial: raises
    [Xqb_store.Store.Update_error] when a precondition fails — with the
    request's source location prefixed when provenance carries one.
@@ -229,18 +235,30 @@ let apply_request store (r : request) =
       | Xqb_store.Store.Attribute ->
         Xqb_store.Store.set_content store n s
       | Xqb_store.Store.Element | Xqb_store.Store.Document ->
-        List.iter (Xqb_store.Store.detach store) (Xqb_store.Store.children store n);
+        Xqb_store.Store.detach_many store (Xqb_store.Store.children store n);
         if s <> "" then
           Xqb_store.Store.insert store ~parent:n ~position:Xqb_store.Store.Last
             [ Xqb_store.Store.make_text store s ])
   in
   if Xqb_store.Store.journal_active store then
-    Xqb_store.Store.journal_note store
-      ~line:r.prov.src_line ~col:r.prov.src_col ~snap_depth:r.prov.snap_depth
-      ~trace_id:r.prov.trace_id
-      ~desc:(op_kind_name r.op);
+    Xqb_store.Store.journal_note store (provenance_note r);
   try apply_op ()
   with Xqb_store.Store.Update_error m when has_location r.prov ->
     raise
       (Xqb_store.Store.Update_error
          (Printf.sprintf "at %d:%d: %s" r.prov.src_line r.prov.src_col m))
+
+(* A run of [Delete] requests as one batched detach
+   ([Store.detach_many]): the same store and journal as applying them
+   one by one, in linear time. Detach never fails a precondition
+   (§3.1), so there is no error to locate. *)
+let apply_deletes store (rs : request list) =
+  let ids =
+    List.map
+      (fun r -> match r.op with Delete n -> n | _ -> invalid_arg "Update.apply_deletes")
+      rs
+  in
+  let notes =
+    if Xqb_store.Store.journal_active store then Some (List.map provenance_note rs) else None
+  in
+  Xqb_store.Store.detach_many store ?notes ids

@@ -113,3 +113,9 @@ val stats_to_string : stats -> string
     when the request's provenance carries a location. Applied requests
     are noted in the store's mutation journal when it is recording. *)
 val apply_request : Xqb_store.Store.t -> request -> unit
+
+(** Apply a run of [Delete] requests through one
+    {!Xqb_store.Store.detach_many}: the same store, mutation count and
+    journals as [List.iter (apply_request store)], in linear time.
+    @raise Invalid_argument on a request that is not a [Delete]. *)
+val apply_deletes : Xqb_store.Store.t -> request list -> unit

@@ -103,11 +103,11 @@ let charge b n =
 
 (* All descendants of [id] in document order (excluding attributes). *)
 let rec add_descendants store b acc id =
-  List.fold_left
+  Vec.fold
     (fun acc c ->
       charge b 1;
       add_descendants store b (c :: acc) c)
-    acc (Store.children store id)
+    acc (Store.get store id).Store.children
 
 let descendants_b store b id = List.rev (add_descendants store b [] id)
 
@@ -223,6 +223,22 @@ let apply store axis id =
     charge b (List.length nodes);
     nodes
 
-(* One full step: axis + node test from a single context node. *)
+(* One full step: axis + node test from a single context node. The
+   child and attribute axes filter the node's list in place rather
+   than a copy of it (the hot path of every plan's navigation); they
+   charge the list's length, as [apply] does. *)
 let step store axis test id =
-  List.filter (test_matches store axis test) (apply store axis id)
+  match axis with
+  | Child | Attribute ->
+    let n = Store.get store id in
+    let vec = if axis = Child then n.Store.children else n.Store.attributes in
+    charge (Xqb_governor.Budget.current ()) (Vec.length vec);
+    let out = ref [] in
+    for i = Vec.length vec - 1 downto 0 do
+      let c = Vec.get vec i in
+      if test_matches store axis test c then out := c :: !out
+    done;
+    !out
+  | Self | Parent | Ancestor | Ancestor_or_self | Following_sibling
+  | Preceding_sibling | Descendant | Descendant_or_self | Following | Preceding ->
+    List.filter (test_matches store axis test) (apply store axis id)

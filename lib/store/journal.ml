@@ -53,8 +53,16 @@ let rec exec_seq store (entries : entry list) : entry list =
     | S.M_insert (parent, position, nodes) ->
       S.insert store ~parent ~position nodes;
       exec_seq store rest
-    | S.M_detach n ->
-      S.detach store n;
+    | S.M_detach _ ->
+      (* a run of detaches, with the provenance notes between them,
+         replays as one batched detach: linear, like the live apply *)
+      let rec run ids = function
+        | { op = S.M_detach n; _ } :: rest -> run (n :: ids) rest
+        | { op = S.M_request _; _ } :: rest -> run ids rest
+        | rest -> (List.rev ids, rest)
+      in
+      let ids, rest = run [] entries in
+      S.detach_many store ids;
       exec_seq store rest
     | S.M_rename (n, q) ->
       S.rename store n q;

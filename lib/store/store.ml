@@ -8,9 +8,13 @@
    erased, only disconnected from their parent; a detached subtree
    remains queryable and re-insertable (§3.1).
 
-   Each node caches its index within its parent ([pos]); insert/detach
-   maintain it, which makes document-order comparison O(depth) and
-   keeps E1's complexity claims honest (no hidden linear scans). *)
+   Each node caches its index within its parent's child or attribute
+   list ([pos]), which makes document-order comparison O(depth) and
+   keeps E1's complexity claims honest (no hidden linear scans).
+   Insert and single-node detach shift the list and renumber the
+   siblings after the touched index. A run of detaches ([detach_many],
+   the ∆ application path) compacts each touched list once and
+   renumbers it once, so purging n siblings is O(n), not O(n²). *)
 
 type node_id = int
 
@@ -202,8 +206,10 @@ let journal_entries_from store n =
 
 let journal_length store = store.mj_count
 
-let journal_note store ~line ~col ~snap_depth ~trace_id ~desc =
-  mj_append store (M_request { line; col; snap_depth; trace_id; desc })
+let journal_note store op =
+  match op with
+  | M_request _ -> mj_append store op
+  | _ -> invalid_arg "Store.journal_note: not a provenance note"
 
 let set_indexing store b = store.index_enabled <- b
 let set_order_keys store b = store.order_keys_enabled <- b
@@ -260,8 +266,19 @@ let alloc_unlocked store kind name content =
   mj_record store (M_make (kind, name, content));
   n.id
 
+(* A plain lock/unlock rather than [with_mu]: this runs once per
+   constructed node, and the closure [Fun.protect] needs is measurable
+   there. The lock keeps ids sequential under concurrent
+   footprint-disjoint jobs. *)
 let alloc store kind name content =
-  with_mu store (fun () -> alloc_unlocked store kind name content)
+  Mutex.lock store.mu;
+  match alloc_unlocked store kind name content with
+  | id ->
+    Mutex.unlock store.mu;
+    id
+  | exception e ->
+    Mutex.unlock store.mu;
+    raise e
 
 (* Journal replay's constructor: re-execute an [M_make] verbatim.
    Identical to the per-kind constructors below modulo the name/kind
@@ -551,6 +568,134 @@ let detach store id =
        root's versions) can never resurface as valid *)
     bump_index store id;
     store.mutations <- store.mutations + 1
+
+(* One touched list of a batched detach: a parent's children or its
+   attributes, and the root above the parent when the batch first
+   touched it (the tree whose index version [detach] would bump).
+   [g_fen] is a Fenwick tree over the list's original indexes marking
+   the nodes detached so far, so each detach can journal the index it
+   would have had if the earlier ones had been applied one at a time,
+   in any order. *)
+type detach_group = { g_pid : node_id; g_root : node_id; g_vec : Vec.t; g_fen : int array }
+
+(* Marked original indexes below [i]. *)
+let fen_count f i =
+  let s = ref 0 and k = ref i in
+  while !k > 0 do
+    s := !s + f.(!k);
+    k := !k - (!k land (- !k))
+  done;
+  !s
+
+let fen_mark f i =
+  let k = ref (i + 1) in
+  while !k < Array.length f do
+    f.(!k) <- f.(!k) + 1;
+    k := !k + (!k land (- !k))
+  done
+
+(* Batched detach: the same store, mutation count, undo entries and
+   mutation-journal entries as [List.iter (detach store) ids], but
+   each touched list is compacted and renumbered once. [notes] (one
+   per id) are provenance notes journaled just before the
+   corresponding id's [M_detach], as [Update.apply_request] notes each
+   request before applying it; a no-op detach (a parentless node or a
+   duplicate id) journals its note alone.
+
+   The undo journal gets, per detached node, the index it had at the
+   moment one-at-a-time application would have detached it: its
+   original index minus the earlier-detached nodes of the same list
+   below it. Detaching one list's members never moves another list's,
+   so lists are independent, and a target nested inside an earlier
+   target's subtree is still detached from its own parent. *)
+let detach_many store ?notes ids =
+  let ids = Array.of_list ids in
+  let count = Array.length ids in
+  let notes =
+    match notes with
+    | None -> None
+    | Some l ->
+      let a = Array.of_list l in
+      if Array.length a <> count then invalid_arg "Store.detach_many: notes/ids length";
+      Some a
+  in
+  with_index_lock store @@ fun () ->
+  let detached = Array.make count false in
+  let groups = Hashtbl.create 8 in
+  let group_of pid attr =
+    let key = (2 * pid) + if attr then 1 else 0 in
+    match Hashtbl.find_opt groups key with
+    | Some g -> g
+    | None ->
+      let p = get store pid in
+      let vec = if attr then p.attributes else p.children in
+      let g =
+        { g_pid = pid; g_root = root store pid; g_vec = vec;
+          g_fen = Array.make (Vec.length vec + 1) 0 }
+      in
+      Hashtbl.add groups key g;
+      g
+  in
+  (* pass 1, in request order: settle which detaches happen and their
+     one-at-a-time indexes; lists are left untouched *)
+  let reached = ref 0 in
+  let failure =
+    try
+      for i = 0 to count - 1 do
+        reached := i + 1;
+        let id = ids.(i) in
+        let n = get store id in
+        match n.parent with
+        | None -> ()
+        | Some pid ->
+          let attr = n.kind = Attribute in
+          let g = group_of pid attr in
+          let orig = n.pos in
+          if orig >= Vec.length g.g_vec || Vec.get g.g_vec orig <> id then
+            invalid_arg "Store.detach: corrupted position cache";
+          let idx = orig - fen_count g.g_fen orig in
+          fen_mark g.g_fen orig;
+          record store
+            (if attr then J_detached_attr (id, pid, idx) else J_detached_child (id, pid, idx));
+          n.parent <- None;
+          n.pos <- 0;
+          detached.(i) <- true;
+          store.mutations <- store.mutations + 1
+      done;
+      None
+    with e -> Some e
+  in
+  (* pass 2: one compaction and renumbering per touched list *)
+  Hashtbl.iter
+    (fun _ g ->
+      let pid = g.g_pid and vec = g.g_vec in
+      let first =
+        Vec.filter_in_place
+          (fun c -> match (get store c).parent with Some p -> p = pid | None -> false)
+          vec
+      in
+      for i = first to Vec.length vec - 1 do
+        (get store (Vec.get vec i)).pos <- i
+      done)
+    groups;
+  (* journal and index versions under one [mu] hold: the touched trees'
+     roots, then every detached node, now a root of its own (see
+     [detach]) *)
+  Mutex.lock store.mu;
+  let bump r =
+    if r >= 0 && r < Array.length store.root_vers then
+      store.root_vers.(r) <- store.root_vers.(r) + 1
+  in
+  Hashtbl.iter (fun _ g -> bump g.g_root) groups;
+  for i = 0 to !reached - 1 do
+    (match notes with Some a -> mj_record store a.(i) | None -> ());
+    if detached.(i) then begin
+      mj_record store (M_detach ids.(i));
+      bump ids.(i)
+    end
+  done;
+  Mutex.unlock store.mu;
+  Option.iter raise failure
 
 (* Insert [nodes] under [parent]. Attribute nodes go to the attribute
    list (appended); other nodes are spliced into the child list at

@@ -256,11 +256,21 @@ val journal_entries_from : t -> int -> mj_entry list
 (** Number of entries recorded (= the next sequence number). *)
 val journal_length : t -> int
 
-(** Append a provenance note ({!mj_op.M_request}); no-op when not
-    recording. *)
-val journal_note :
-  t -> line:int -> col:int -> snap_depth:int -> trace_id:string option ->
-  desc:string -> unit
+(** Append a provenance note; no-op when not recording.
+    @raise Invalid_argument unless the op is an {!mj_op.M_request}. *)
+val journal_note : t -> mj_op -> unit
 
 (** Re-execute an {!mj_op.M_make} (journal replay only). *)
 val replay_make : t -> kind -> Xqb_xml.Qname.t option -> string -> node_id
+
+(** {1 Batched detach} *)
+
+(** [detach_many store ?notes ids] is [List.iter (detach store) ids]
+    in one pass: the same store, {!mutation_count}, undo entries and
+    mutation-journal entries, but each touched child or attribute list
+    is compacted and renumbered once, so a run of n detaches costs
+    O(n + touched list lengths) instead of O(n²). [notes] (one per id,
+    each an {!mj_op.M_request}) are journaled just before their id's
+    [M_detach] — or alone when that detach is a no-op.
+    @raise Invalid_argument if [notes] and [ids] differ in length. *)
+val detach_many : t -> ?notes:mj_op list -> node_id list -> unit

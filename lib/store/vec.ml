@@ -2,11 +2,17 @@
    store. OCaml 5.1 has no Dynarray yet (5.2+), and child lists are a
    hot path: XMark-style workloads append thousands of children under
    one parent ($purchasers in the paper's §4.3 example), so the
-   amortized O(1) push matters for the E1 complexity claims. *)
+   amortized O(1) push matters for the E1 complexity claims. Most
+   nodes (text, attributes, leaf elements) never get a child or an
+   attribute, so a vector starts on the shared empty array and
+   allocates on its first push. *)
 
 type t = { mutable data : int array; mutable len : int }
 
-let create ?(capacity = 4) () = { data = Array.make (max capacity 1) 0; len = 0 }
+let create ?capacity () =
+  match capacity with
+  | Some c when c > 0 -> { data = Array.make c 0; len = 0 }
+  | _ -> { data = [||]; len = 0 }
 
 let length v = v.len
 
@@ -20,7 +26,7 @@ let set v i x =
 
 let ensure v n =
   if n > Array.length v.data then begin
-    let cap = ref (Array.length v.data) in
+    let cap = ref (max 4 (Array.length v.data)) in
     while !cap < n do
       cap := !cap * 2
     done;
@@ -47,6 +53,22 @@ let remove_at v i =
   if i < 0 || i >= v.len then invalid_arg "Vec.remove_at";
   Array.blit v.data (i + 1) v.data i (v.len - i - 1);
   v.len <- v.len - 1
+
+(* Keep the elements satisfying [keep], in order. Returns the index of
+   the first element dropped ([length v] afterwards if none was): the
+   elements from there on moved. One pass, O(n). *)
+let filter_in_place keep v =
+  let j = ref 0 and first = ref (-1) in
+  for i = 0 to v.len - 1 do
+    let x = v.data.(i) in
+    if keep x then begin
+      v.data.(!j) <- x;
+      incr j
+    end
+    else if !first < 0 then first := !j
+  done;
+  v.len <- !j;
+  if !first < 0 then !j else !first
 
 let index_of v x =
   let rec find i = if i >= v.len then None else if v.data.(i) = x then Some i else find (i + 1) in

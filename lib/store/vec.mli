@@ -6,7 +6,8 @@
 
 type t
 
-(** Fresh empty vector. *)
+(** Fresh empty vector. Without [capacity] it shares the empty array
+    and allocates on the first {!push}. *)
 val create : ?capacity:int -> unit -> t
 
 val length : t -> int
@@ -24,6 +25,11 @@ val insert : t -> int -> int -> unit
 
 (** Remove the element at an index, shifting the tail. O(n-i). *)
 val remove_at : t -> int -> unit
+
+(** [filter_in_place keep v] drops the elements not satisfying [keep],
+    keeping the order, and returns the index of the first element
+    dropped ([length v] afterwards when none was). O(n). *)
+val filter_in_place : (int -> bool) -> t -> int
 
 (** Index of the first occurrence, if any. O(n). *)
 val index_of : t -> int -> int option

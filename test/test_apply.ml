@@ -444,6 +444,116 @@ let matrix_tests =
       ])
     matrix_cases
 
+(* Batched ∆ application ≡ one request at a time. A random ∆ mixes
+   delete runs (several parents, attributes and children, duplicates,
+   targets nested in an earlier target's subtree; ascending, descending
+   or shuffled) with inserts and renames, under each mode, journaling
+   on or off. The reference applies the same permutation (a copy of
+   [Apply]'s Fisher-Yates on the same seed) request by request through
+   [Update.apply_request], i.e. one [Store.detach] per delete. *)
+(* [Apply]'s Fisher-Yates, the reference permutation *)
+let fisher_yates rs arr =
+  for i = Array.length arr - 1 downto 1 do
+    let j = Random.State.int rs (i + 1) in
+    let t = arr.(i) in
+    arr.(i) <- arr.(j);
+    arr.(j) <- t
+  done
+
+let gen_delete_runs =
+  let open QCheck2.Gen in
+  let* width = int_range 1 3 and* order = int_bound 2 and* mode = int_bound 2 in
+  let* targets = list_size (int_range 1 25) nat
+  and* others = list_size (int_bound 5) (triple bool nat nat) in
+  let* seed = nat and* journal = bool in
+  return (width, order, mode, targets, others, seed, journal)
+
+let batched_equals_one_by_one =
+  qtest ~count:300 "batched delete runs = one-by-one application" gen_delete_runs
+    (fun (width, order, mode, targets, others, seed, journal) ->
+      let mode =
+        match mode with 0 -> Apply.Ordered | 1 -> Apply.Nondeterministic | _ -> Apply.Conflict_detection
+      in
+      (* the same spec builds the same store and ∆ (ids are sequential) *)
+      let build () =
+        let store = Store.create () in
+        if journal then Store.journal_start store;
+        let kid i = Printf.sprintf "<k i=\"%d\"><g><h/></g>t</k>" i in
+        let parent p =
+          Printf.sprintf "<p a=\"%d\" b=\"x\">%s</p>" p
+            (String.concat "" (List.init (3 + p) kid))
+        in
+        let doc =
+          Store.load_string store ("<r>" ^ String.concat "" (List.init width parent) ^ "</r>")
+        in
+        let n = Store.node_count store in
+        let elements =
+          Array.of_list
+            (List.filter (fun i -> Store.kind store i = Store.Element) (List.init n Fun.id))
+        in
+        let ids = List.map (fun t -> t mod n) targets in
+        let ids =
+          match order with
+          | 0 -> List.sort compare ids
+          | 1 -> List.sort (fun a b -> compare b a) ids
+          | _ ->
+            let a = Array.of_list ids in
+            fisher_yates (Random.State.make [| seed + 1 |]) a;
+            Array.to_list a
+        in
+        let dels = List.map (fun id -> rq (Update.Delete id)) ids in
+        (* interleave inserts of fresh elements and renames *)
+        let delta =
+          List.fold_left
+            (fun d (ins, pick, at) ->
+              let e = elements.(pick mod Array.length elements) in
+              let r =
+                if ins then
+                  rq
+                    (Update.Insert
+                       { nodes = [ Store.make_element store (qn "f") ]; parent = e;
+                         position = (if at mod 2 = 0 then Update.Last else Update.First) })
+                else rq (Update.Rename (e, qn "m"))
+              in
+              let k = at mod (List.length d + 1) in
+              List.filteri (fun i _ -> i < k) d @ (r :: List.filteri (fun i _ -> i >= k) d))
+            dels others
+        in
+        (store, doc, delta)
+      in
+      let outcome f = match f () with () -> "ok" | exception e -> Printexc.to_string e in
+      let batched, doc, delta = build () in
+      let got = outcome (fun () ->
+          Apply.apply ~rand_state:(Random.State.make [| seed |]) batched mode delta)
+      in
+      let one, _, _ = build () in
+      let expected =
+        outcome (fun () ->
+            Store.transactionally one (fun () ->
+                let arr = Array.of_list delta in
+                if mode <> Apply.Ordered then begin
+                  if mode = Apply.Conflict_detection then Conflict.check ~store:one delta;
+                  fisher_yates (Random.State.make [| seed |]) arr
+                end;
+                Array.iter (Update.apply_request one) arr))
+      in
+      let digest = Xqb_store.Journal.digest in
+      let undo, _, _ = build () in
+      let before = digest undo in
+      ignore
+        (outcome (fun () ->
+             Store.transactionally undo (fun () ->
+                 Apply.apply ~rand_state:(Random.State.make [| seed |]) undo mode delta;
+                 failwith "forced")));
+      got = expected
+      && serialize batched doc = serialize one doc
+      && digest batched = digest one
+      && Store.validate batched = []
+      && Store.mutation_count batched = Store.mutation_count one
+      && Store.journal_entries batched = Store.journal_entries one
+      && digest undo = before
+      && Store.validate undo = [])
+
 let suite =
   [
     ("apply:ordered", ordered_tests);
@@ -453,4 +563,5 @@ let suite =
     ("apply:conflict-rules", conflict_rules);
     ("apply:conflict-engine", conflict_engine);
     ("apply:permutation-property", [ conflict_free_is_order_independent ]);
+    ("apply:batched-deletes", [ batched_equals_one_by_one ]);
   ]

@@ -133,6 +133,31 @@ let units =
             [ "3:12"; "snap depth 1"; "trace t9" ]
         | _ -> Alcotest.failf "expected exactly one note, got %d" (List.length notes));
         check_consistent "provenance" store);
+    tc "a 3200-child purge replays to the live digest" `Quick (fun () ->
+        let store, doc =
+          fresh_with_doc ("<r>" ^ String.concat "" (List.init 3200 (fun _ -> "<c/>")) ^ "</r>")
+        in
+        let r = first_elem store doc in
+        let kids = Store.children store r in
+        let purge = List.map (fun c -> U.make (U.Delete c)) kids in
+        (* a rolled-back purge first, then the committed one *)
+        (try
+           Store.transactionally store (fun () ->
+               Core.Apply.apply store Core.Apply.Ordered purge;
+               failwith "abort")
+         with Failure _ -> ());
+        check Alcotest.int "rollback restored the children" 3200 (Store.child_count store r);
+        Core.Apply.apply store Core.Apply.Ordered purge;
+        check Alcotest.int "purged" 0 (Store.child_count store r);
+        (* each delete's note sits just before its detach *)
+        let rec paired n = function
+          | { Journal.op = Store.M_request _; _ } :: { op = Store.M_detach _; _ } :: rest ->
+            paired (n + 1) rest
+          | _ :: rest -> paired n rest
+          | [] -> n
+        in
+        check Alcotest.int "note/detach pairs" 6400 (paired 0 (Store.journal_entries store));
+        check_consistent "purge" store);
     tc "replay rejects an unmatched terminator" `Quick (fun () ->
         match Journal.replay [ { Journal.seq = 0; op = Store.M_txn_commit } ] with
         | _ -> Alcotest.fail "expected Replay_error"

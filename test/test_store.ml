@@ -44,6 +44,17 @@ let vec_tests =
         match Vec.insert v 3 0 with
         | _ -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ());
+    qtest "filter_in_place models List.filter"
+      QCheck2.Gen.(pair (small_list (int_bound 20)) (int_range 1 5))
+      (fun (l, m) ->
+        let v = Vec.of_list l in
+        let keep x = x mod m <> 0 in
+        let first = Vec.filter_in_place keep v in
+        let rec first_dropped i = function
+          | [] -> List.length (List.filter keep l)
+          | x :: rest -> if keep x then first_dropped (i + 1) rest else i
+        in
+        Vec.to_list v = List.filter keep l && first = first_dropped 0 l);
     qtest "vec models list" QCheck2.Gen.(small_list (int_bound 100)) (fun ops ->
         let v = Vec.create () in
         let model = ref [] in
@@ -355,6 +366,47 @@ let random_mutations =
         && Store.validate f.store = []);
   ]
 
+(* [detach_many] ≡ [List.iter detach]: random id lists (duplicates,
+   attributes, nested targets, any order, parentless nodes) against
+   one store each, compared on the whole node table, the mutation
+   count and the mutation journal; then a forced rollback of the
+   batch must restore the store it started from. *)
+let detach_many_equiv =
+  qtest ~count:300 "detach_many = one-by-one detach"
+    QCheck2.Gen.(pair (int_range 1 4) (small_list small_nat))
+    (fun (width, picks) ->
+      let build () =
+        let store = Store.create () in
+        Store.journal_start store;
+        let kid i = Printf.sprintf "<k i=\"%d\"><g><h/></g>t</k>" i in
+        let parent p =
+          Printf.sprintf "<p%d a=\"1\" b=\"2\">%s</p%d>" p
+            (String.concat "" (List.init (2 * width) kid)) p
+        in
+        ignore
+          (Store.load_string store
+             ("<r>" ^ String.concat "" (List.init width parent) ^ "</r>"));
+        store
+      in
+      let one = build () and batch = build () in
+      let n = Store.node_count one in
+      let ids = List.map (fun k -> k mod n) picks in
+      let digest = Xqb_store.Journal.digest in
+      let before = digest batch in
+      List.iter (Store.detach one) ids;
+      Store.detach_many batch ids;
+      let same =
+        digest one = digest batch
+        && Store.mutation_count one = Store.mutation_count batch
+        && Store.journal_entries one = Store.journal_entries batch
+        && Store.validate batch = []
+      in
+      let undo = build () in
+      (match Store.transactionally undo (fun () -> Store.detach_many undo ids; failwith "rollback") with
+      | () -> ()
+      | exception Failure _ -> ());
+      same && digest undo = before && Store.validate undo = [])
+
 let suite =
   [
     ("store:vec", vec_tests);
@@ -363,4 +415,5 @@ let suite =
     ("store:copy", store_copy);
     ("store:transaction", store_txn);
     ("store:random", random_mutations);
+    ("store:detach-many", [ detach_many_equiv ]);
   ]
